@@ -57,7 +57,7 @@ use safelight_obs::profile_span_class;
 #[path = "linalg_int.rs"]
 pub mod int;
 
-/// Cache-blocking tile sizes, fixed at first use.
+/// Cache-blocking tile sizes (compiled in; see [`GemmConfig::active`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmConfig {
     /// Rows of A packed per block (rounded up to the micro-kernel's `MR`).
@@ -94,27 +94,14 @@ impl GemmConfig {
         }
     }
 
-    /// The active configuration: the compiled default unless overridden at
-    /// startup through `SAFELIGHT_GEMM_MC` / `_KC` / `_NC` (useful for
-    /// re-tuning on machines with unusual cache hierarchies without a
-    /// rebuild). Values are rounded per kernel at use.
+    /// The active configuration: always the compiled default. The tiles
+    /// are not tunable at run time because `kc` splits the k-reduction and
+    /// so fixes the float summation order — a different tiling would give
+    /// different bits under the same cache stamp. Values are rounded per
+    /// kernel at use.
     #[must_use]
     pub fn active() -> Self {
-        static ACTIVE: std::sync::OnceLock<GemmConfig> = std::sync::OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            let env = |name: &str, fallback: usize| {
-                std::env::var(name)
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or(fallback)
-            };
-            let d = GemmConfig::default();
-            GemmConfig {
-                mc: env("SAFELIGHT_GEMM_MC", d.mc),
-                kc: env("SAFELIGHT_GEMM_KC", d.kc),
-                nc: env("SAFELIGHT_GEMM_NC", d.nc),
-            }
-        })
+        Self::default()
     }
 }
 
@@ -243,11 +230,9 @@ pub mod kernel_stats {
         Int,
         /// Convolution forward served by im2col + GEMM.
         Im2colConv,
-        /// Convolution forward served by the FFT overlap-add path.
-        FftConv,
     }
 
-    const CLASSES: [KernelClass; 9] = [
+    const CLASSES: [KernelClass; 8] = [
         KernelClass::Reference,
         KernelClass::Direct,
         KernelClass::Tiled,
@@ -256,7 +241,6 @@ pub mod kernel_stats {
         KernelClass::SimdParallel,
         KernelClass::Int,
         KernelClass::Im2colConv,
-        KernelClass::FftConv,
     ];
 
     impl KernelClass {
@@ -272,13 +256,11 @@ pub mod kernel_stats {
                 Self::SimdParallel => "simd_parallel",
                 Self::Int => "int",
                 Self::Im2colConv => "conv_im2col",
-                Self::FftConv => "conv_fft",
             }
         }
     }
 
-    static COUNTS: [AtomicU64; 9] = [
-        AtomicU64::new(0),
+    static COUNTS: [AtomicU64; 8] = [
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),

@@ -1,8 +1,8 @@
 //! Thread-local scratch-buffer arena.
 //!
 //! The hot paths (GEMM packing panels, conv's im2col/col2im buffers, the
-//! FFT convolution's spectra, the integer datapath's code buffers) need
-//! large temporary buffers on every call. Allocating them fresh per call
+//! integer datapath's code buffers) need large temporary buffers on every
+//! call. Allocating them fresh per call
 //! costs a page-zeroing `memset` and allocator traffic per sample; this
 //! arena instead keeps one buffer per slot per thread and hands it out on
 //! demand, so a training epoch or attack sweep reuses the same
@@ -35,10 +35,6 @@ pub(crate) enum Slot {
     OutBlock,
     /// Conv backward gathered-`dY` staging buffer.
     YBlock,
-    /// FFT conv: padded input-tile spectrum workspace.
-    FftImage,
-    /// FFT conv: accumulated output-tile spectrum / inverse staging.
-    FftStage,
 }
 
 /// Named `i16` scratch buffers for the integer datapath.

@@ -1,7 +1,7 @@
 //! SafeLight observability plane.
 //!
 //! A zero-dependency (std-only) crate sitting below every other SafeLight
-//! crate, providing the four observability primitives the serving stack
+//! crate, providing the observability primitives the serving stack
 //! shares:
 //!
 //! - [`log`] — a leveled logger for human-facing diagnostics. Library
@@ -16,6 +16,8 @@
 //!   step orders them `(virtual time, key, payload)` so the committed
 //!   trace artifact is byte-identical across worker-thread counts.
 //!   Wall-clock timings never enter the committed rendering.
+//! - [`json`] — the one JSON string/number encoder every hand-rolled
+//!   JSON emitter in the workspace shares.
 //! - [`metrics`] — a registry of counters, gauges and log-bucketed
 //!   histograms, snapshotted to Prometheus-style text exposition plus the
 //!   JSON/CSV emitter style used by `serve::report`.
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod alert;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod profile;
@@ -42,6 +45,7 @@ pub use crate::alert::{
     default_rules, error_budget_burn, AlertEngine, AlertFiring, AlertKind, AlertRule, Cmp,
     SloInput, SloSpec, SloVerdict,
 };
+pub use crate::json::{json_num, json_str};
 pub use crate::log::{max_level, set_max_level, Level};
 pub use crate::metrics::{
     labeled, Counter, Gauge, Histogram, HistogramConfig, MetricsRegistry, MetricsSnapshot,

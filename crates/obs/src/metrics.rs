@@ -12,6 +12,7 @@
 //! Prometheus-style text exposition plus JSON/CSV in the same hand-rolled
 //! emitter style as `serve::report`.
 
+use crate::json::{json_num, json_str};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -503,15 +504,6 @@ fn prom_num(v: f64) -> String {
     }
 }
 
-/// JSON number, `null` when non-finite (matches `safelight::eval` style).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// CSV field, empty when non-finite (matches `serve::report` style).
 fn csv_num(v: f64) -> String {
     if v.is_finite() {
@@ -631,7 +623,7 @@ impl MetricsSnapshot {
                     )
                 }
             };
-            parts.push(format!("{}:{body}", json_string(name)));
+            parts.push(format!("{}:{body}", json_str(name)));
         }
         format!("{{{}}}\n", parts.join(","))
     }
@@ -688,22 +680,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Minimal JSON string escaping (names are ASCII identifiers + labels).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -984,7 +960,7 @@ mod tests {
 
         let json = snap.json();
         assert_eq!(json.lines().count(), 1, "json stays one line");
-        assert!(json.contains(&json_string(&name)));
+        assert!(json.contains(&json_str(&name)));
 
         let csv = snap.csv();
         let quoted = csv

@@ -10,7 +10,6 @@ use crate::config::BlockKind;
 /// executor consumes them. `Healthy` is the implicit default for every MR
 /// not present in a [`ConditionMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MrCondition {
     /// Nominal operation.
     #[default]

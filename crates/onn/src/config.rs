@@ -9,7 +9,6 @@ use crate::OnnError;
 /// The paper's accelerator (Fig. 3) splits the substrate into a CONV block
 /// for convolution layers and an FC block for fully connected layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BlockKind {
     /// The convolution block.
     Conv,
@@ -42,7 +41,6 @@ impl std::fmt::Display for BlockKind {
 ///   **full scale**. Kept as an ablation: it makes every attack far more
 ///   destructive (see EXPERIMENTS.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeightEncoding {
     /// Drop-port collection: attacked weights decay toward zero.
     #[default]
@@ -54,7 +52,6 @@ pub enum WeightEncoding {
 /// Shape of one photonic block: a set of identical VDP units whose MR banks
 /// are `bank_rows × bank_cols` (one wavelength per column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockConfig {
     /// Number of vector-dot-product units in the block.
     pub vdp_units: usize,
@@ -101,7 +98,6 @@ impl BlockConfig {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AcceleratorConfig {
     /// CONV block shape.
     pub conv: BlockConfig,

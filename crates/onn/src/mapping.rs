@@ -17,7 +17,6 @@ use crate::OnnError;
 /// One mapped layer: which block it lives in and how many weight scalars it
 /// contributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerSpec {
     /// Human-readable layer name (diagnostics only).
     pub name: String,
@@ -58,7 +57,6 @@ pub struct MappedParam {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct MappedLayer {
     spec: LayerSpec,
     /// First slot (linear position in the block's slot space) of the layer.

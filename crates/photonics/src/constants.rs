@@ -38,7 +38,6 @@ pub const DEFAULT_EFFECTIVE_INDEX: f64 = 2.4;
 /// assert!((shift - 0.0549).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SiliconProperties {
     /// Thermo-optic coefficient `δn_Si/δT` in 1/K.
     pub thermo_optic_coeff: f64,

@@ -44,7 +44,6 @@ fn check_range(lo: f64, hi: f64) -> Result<(), PhotonicsError> {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dac {
     bits: u8,
     lo: f64,
@@ -111,7 +110,6 @@ impl Dac {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Adc {
     bits: u8,
     lo: f64,

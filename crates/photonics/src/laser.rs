@@ -19,7 +19,6 @@ use crate::PhotonicsError;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Laser {
     grid: WdmGrid,
     power_per_channel_mw: f64,

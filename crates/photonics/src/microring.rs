@@ -32,7 +32,6 @@ use crate::PhotonicsError;
 /// assert!((lambda.value() - 1550.0).abs() < 10.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MicroringGeometry {
     /// Ring radius in micrometres.
     pub radius_um: f64,
@@ -126,7 +125,6 @@ impl MicroringGeometry {
 
 /// Operational state of a microring's peripheral circuitry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MicroringState {
     /// Tuning and modulation circuits behave nominally.
     #[default]
@@ -178,7 +176,6 @@ pub enum MicroringState {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Microring {
     geometry: MicroringGeometry,
     /// Fabricated (trimmed) resonance — aligned with the assigned carrier.

@@ -24,7 +24,6 @@ use crate::PhotonicsError;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Photodetector {
     responsivity_a_per_w: f64,
     dark_current_ma: f64,
@@ -108,7 +107,6 @@ impl Photodetector {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BalancedPhotodetector {
     positive: Photodetector,
     negative: Photodetector,

@@ -11,7 +11,6 @@ use crate::PhotonicsError;
 
 /// The physical mechanism of a tuning circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TuningKind {
     /// Carrier-injection electro-optic tuning: nanosecond response,
     /// ~4 µW/nm, but a tuning range limited to a fraction of a nanometre.
@@ -23,7 +22,6 @@ pub enum TuningKind {
 
 /// Latency and power consumed by a tuning operation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningBudget {
     /// Settling latency in nanoseconds.
     pub latency_ns: f64,
@@ -49,7 +47,6 @@ pub struct TuningBudget {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningCircuit {
     kind: TuningKind,
     max_shift_nm: f64,

@@ -22,7 +22,6 @@ use crate::PhotonicsError;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Waveguide {
     length_mm: f64,
     loss_db_per_cm: f64,

@@ -16,7 +16,6 @@ use crate::PhotonicsError;
 /// assert_eq!(lambda.value(), 1550.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nanometers(f64);
 
 impl Nanometers {
@@ -69,7 +68,6 @@ impl std::fmt::Display for Nanometers {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WdmGrid {
     start_nm: f64,
     spacing_nm: f64,

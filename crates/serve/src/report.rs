@@ -5,8 +5,7 @@
 //! order — so the artifacts are byte-identical across worker-thread
 //! counts.
 
-use safelight::eval::{json_num, json_str};
-use safelight_obs::SloVerdict;
+use safelight_obs::{json_num, json_str, SloVerdict};
 
 use crate::chaos::ChaosReport;
 use crate::eval::{RateSweepReport, ServingReport};

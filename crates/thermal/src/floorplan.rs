@@ -4,7 +4,6 @@ use crate::ThermalError;
 
 /// An axis-aligned rectangle of grid cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left cell column.
     pub x: usize,
@@ -38,7 +37,6 @@ impl Rect {
 
 /// A microring bank placed on the floorplan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BankPlacement {
     /// Index of the bank in its block (row-major across the bank grid).
     pub bank: usize,
@@ -68,7 +66,6 @@ pub struct BankPlacement {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Floorplan {
     rows: usize,
     cols: usize,

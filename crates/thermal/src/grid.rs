@@ -12,7 +12,6 @@ use crate::ThermalError;
 /// its own bank strongly and spills measurably into adjacent banks, matching
 /// the behaviour of the paper's HotSpot-generated Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThermalConfig {
     /// Ambient (heat-sink) temperature in kelvin.
     pub ambient_k: f64,
